@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.wordset_index import WordSetIndex
 from repro.perf.bench import make_long_queries
-from repro.segment import PackedSegmentIndex, SegmentBuilder, SegmentedIndex
+from repro.segment import PackedSegmentIndex, SegmentBuilder, TieredSegmentedIndex
 from repro.segment.bench import replay_ids, run_segment_bench
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -64,42 +64,33 @@ def test_bench_packed_replay(benchmark, packed_index, long_queries):
     assert total > 0
 
 
-def test_bench_overlay_replay(benchmark, packed_index, long_queries):
-    """Same workload through the SegmentedIndex facade (empty overlay):
-    the mutable wrapper must not meaningfully tax the read path."""
-    overlay = SegmentedIndex(packed_index)
-    total = benchmark.pedantic(
-        lambda: sum(len(r) for r in replay_ids(overlay, long_queries)),
-        rounds=3,
-        iterations=1,
-    )
-    assert total > 0
-
-
 def test_bench_compaction(benchmark, corpus, tmp_path_factory):
-    """Time a full compact(): rebuild + pack + atomic swap of a segment
-    carrying a dirty overlay."""
-    directory = tmp_path_factory.mktemp("compact")
-    base = WordSetIndex.from_corpus(corpus)
-    seg_path = directory / "base.seg"
-    SegmentBuilder(base).write(seg_path)
+    """Time a full tiered compact(): seal a dirty overlay, then rebuild,
+    pack and commit every segment as one, consuming 50 tombstones."""
     ads = list(corpus)
 
-    counter = iter(range(1_000_000))
+    def dirty_index():
+        # Untimed: all but the last 50 ads as the sealed base, the last
+        # 50 in the overlay, and the first 50 deleted.
+        directory = tmp_path_factory.mktemp("compact")
+        index = TieredSegmentedIndex.pack_corpus(ads[:-50], directory)
+        for ad in ads[-50:]:
+            index.insert(ad)
+        for ad in ads[:50]:
+            index.delete(ad)
+        return (index,), {}
 
-    def compact_once():
-        n = next(counter)
-        segmented = SegmentedIndex(PackedSegmentIndex(seg_path))
+    def compact_once(index):
         try:
-            for ad in ads[:50]:
-                segmented.delete(ad)
-            target = directory / f"gen-{n}.seg"
-            segmented.compact(path=target)
-            return len(segmented)
+            index.compact()
+            assert len(index.manifest.segments) == 1
+            return len(index)
         finally:
-            segmented.close()
+            index.close()
 
-    live = benchmark.pedantic(compact_once, rounds=3, iterations=1)
+    live = benchmark.pedantic(
+        compact_once, setup=dirty_index, rounds=3, iterations=1
+    )
     assert live == len(ads) - 50
 
 

@@ -441,8 +441,8 @@ def measured_shard_service(
     """Service-time callable backed by *live* shard indexes.
 
     Instead of an analytic cost model, time each shard's actual
-    ``query()`` call (e.g. a :class:`~repro.segment.SegmentedIndex` per
-    shard) and feed the measured milliseconds into the simulator, so
+    ``query()`` call (e.g. a :class:`~repro.segment.TieredSegmentedIndex`
+    per shard) and feed the measured milliseconds into the simulator, so
     scatter-gather tail behaviour reflects the real packed serving path.
     """
 

@@ -50,40 +50,6 @@ from repro.segment.format import (
 _TEMP_COUNTER = itertools.count()
 
 
-def stale_temp_files(path: str | Path) -> list[Path]:
-    """Orphaned ``write`` temp files for segment ``path``.
-
-    A crash between ``segment.tmp_written`` and the rename leaves the
-    unique temp file (``.{name}.{pid}.{n}.tmp``) behind, exactly as a
-    power loss would; nothing ever renames or reopens it, so without
-    cleanup they accumulate forever.  Matches only this segment's own
-    prefix — temp files of sibling segments in the same directory are
-    someone else's to clean.
-    """
-    path = Path(path)
-    if not path.parent.is_dir():
-        return []
-    return sorted(path.parent.glob(f".{path.name}.*.tmp"))
-
-
-def cleanup_stale_temps(path: str | Path) -> int:
-    """Unlink every orphaned temp file for ``path``; returns the count.
-
-    Safe whenever no concurrent writer targets ``path`` — the two call
-    sites (:class:`~repro.segment.overlay.SegmentedIndex` open and the
-    top of ``compact``) both hold that property: open happens before any
-    compaction can run, and compaction is single-threaded per index.
-    """
-    removed = 0
-    for orphan in stale_temp_files(path):
-        try:
-            orphan.unlink()
-        except OSError:
-            continue
-        removed += 1
-    return removed
-
-
 def default_suffix_bits(num_nodes: int) -> int:
     """Suffix width giving ~1-2% B^sig occupancy for ``num_nodes``.
 
@@ -233,7 +199,9 @@ class SegmentBuilder:
         any instant leaves either the old complete file or the new
         complete file, never a torn one.  Crashpoints:
         ``segment.tmp_written``, ``segment.tmp_synced``,
-        ``segment.renamed``.
+        ``segment.renamed``.  A crash before the rename leaves the temp
+        file behind; a writable
+        :class:`~repro.segment.tiered.TieredSegmentedIndex` open sweeps it.
         """
         path = Path(path)
         faults = active_injector(faults)

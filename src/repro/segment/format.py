@@ -45,11 +45,6 @@ CRASH_TMP_WRITTEN = "segment.tmp_written"
 CRASH_TMP_SYNCED = "segment.tmp_synced"
 CRASH_RENAMED = "segment.renamed"
 
-#: Crashpoints around overlay compaction (:meth:`SegmentedIndex.compact`).
-CRASH_COMPACT_START = "segment.compact.start"
-CRASH_COMPACT_WRITTEN = "segment.compact.written"
-CRASH_COMPACT_SWAPPED = "segment.compact.swapped"
-
 #: Crashpoints in the tiered lifecycle (:mod:`repro.segment.tiered`).
 #: Seal and merge both write their segment file first (visiting the
 #: ``segment.*`` write crashpoints above), then commit the new segment

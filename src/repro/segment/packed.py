@@ -30,8 +30,8 @@ eviction churn, strictly bounded, and the cache is charged to
 then serve at materialized-object speed while the corpus stays packed.
 
 Implements the :class:`repro.core.protocols.RetrievalIndex` protocol.
-The structure is immutable; for inserts/deletes compose it with a
-mutable overlay via :class:`repro.segment.overlay.SegmentedIndex`.
+The structure is immutable; for inserts/deletes stack it into the tiers
+of a :class:`repro.segment.tiered.TieredSegmentedIndex`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The packed serving path plugged into the serving and distsim layers."""
+"""The tiered serving path plugged into the serving and distsim layers."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.core.ads import AdCorpus, AdInfo, Advertisement
 from repro.core.queries import Query
 from repro.core.wordset_index import WordSetIndex
 from repro.datagen.corpus import CorpusConfig, generate_corpus
-from repro.segment import SegmentBuilder, SegmentedIndex, ShardedSegmentedIndex
+from repro.segment import TieredSegmentedIndex, pack_corpus_tiered
 from repro.serving.server import AdServer
 
 
@@ -30,41 +30,43 @@ ADS = [
 
 
 @pytest.fixture()
-def segmented(tmp_path):
-    path = tmp_path / "serve.seg"
-    SegmentBuilder(WordSetIndex.from_corpus(AdCorpus(ADS))).write(path)
-    index = SegmentedIndex(path)
+def tiered(tmp_path):
+    index = TieredSegmentedIndex.pack_corpus(AdCorpus(ADS), tmp_path / "serve")
     yield index
     index.close()
 
 
 class TestAdServer:
-    def test_serve_runs_the_full_pipeline_off_a_segment(self, segmented):
-        server = AdServer(segmented, slots=2, reserve_micros=1)
+    def test_serve_runs_the_full_pipeline_off_a_segment(self, tiered):
+        server = AdServer(tiered, slots=2, reserve_micros=1)
         result = server.serve(Query.from_text("cheap used books today"))
         shown = [a.info.listing_id for a in result.ads]
         # GSP ranking by bid: ad 1 (500) then ad 2 (300).
         assert shown == [1, 2]
 
-    def test_serve_sees_overlay_mutations_immediately(self, segmented):
-        server = AdServer(segmented, slots=3, reserve_micros=1)
+    def test_serve_sees_overlay_mutations_immediately(self, tiered):
+        server = AdServer(tiered, slots=3, reserve_micros=1)
         query = Query.from_text("cheap used books today")
-        segmented.insert(ad("books used", 10, bid=800, campaign_id=3))
-        segmented.delete(ADS[0])
+        tiered.insert(ad("books used", 10, bid=800, campaign_id=3))
+        tiered.delete(ADS[0])
         shown = [
             a.info.listing_id for a in server.serve(query).ads
         ]
         assert shown == [10, 2, 3]
 
-    def test_serve_survives_compaction_between_requests(
-        self, segmented, tmp_path
-    ):
-        server = AdServer(segmented, slots=2, reserve_micros=1)
+    def test_serve_survives_compaction_between_requests(self, tiered):
+        server = AdServer(tiered, slots=2, reserve_micros=1)
         query = Query.from_text("cheap used books today")
         before = [
             a.info.listing_id for a in server.serve(query).ads
         ]
-        segmented.compact(path=tmp_path / "gen1.seg")
+        # An unrelated overlay ad makes compact() seal, then merge the
+        # two segments into one new generation.
+        tiered.insert(ad("rare maps atlas", 5, bid=100, campaign_id=2))
+        generation = tiered.generation
+        tiered.compact()
+        assert tiered.generation > generation
+        assert len(tiered.manifest.segments) == 1
         after = [
             a.info.listing_id for a in server.serve(query).ads
         ]
@@ -73,7 +75,7 @@ class TestAdServer:
     def test_serve_batch_fans_out_over_segment_shards(self, tmp_path):
         generated = generate_corpus(CorpusConfig(num_ads=400, seed=6))
         oracle = WordSetIndex.from_corpus(generated.corpus)
-        with ShardedSegmentedIndex.pack_corpus(
+        with pack_corpus_tiered(
             generated.corpus, tmp_path, num_shards=3
         ) as sharded:
             server = AdServer(sharded, slots=4, reserve_micros=1)
@@ -97,7 +99,7 @@ class TestDistsimAdapter:
     def test_measured_shard_service_times_live_shards(self, tmp_path):
         from repro.distsim import measured_shard_service
 
-        with ShardedSegmentedIndex.pack_corpus(
+        with pack_corpus_tiered(
             AdCorpus(ADS), tmp_path, num_shards=2
         ) as sharded:
             service = measured_shard_service(sharded.shards)
@@ -114,7 +116,7 @@ class TestDistsimAdapter:
         )
 
         generated = generate_corpus(CorpusConfig(num_ads=200, seed=8))
-        with ShardedSegmentedIndex.pack_corpus(
+        with pack_corpus_tiered(
             generated.corpus, tmp_path, num_shards=4
         ) as sharded:
             cluster = ScatterGatherCluster(

@@ -1,14 +1,17 @@
 """Tiered segments: seal/merge lifecycle, crash-safe manifest, oracle
 equivalence under churn, and wiring into the serving stack."""
 
+import time
 from collections import Counter
 
 import pytest
 
 from repro.core.ads import AdInfo, Advertisement
 from repro.core.queries import Query
+from repro.core.sharded import ShardedWordSetIndex
 from repro.core.wordset_index import WordSetIndex
-from repro.faults import FaultInjector, InjectedCrash
+from repro.datagen.corpus import CorpusConfig, generate_corpus
+from repro.faults import FaultInjector, InjectedCrash, tear_tail
 from repro.obs import MetricsRegistry, WorkloadRecorder
 from repro.segment import (
     TIERED_CRASHPOINTS,
@@ -16,6 +19,7 @@ from repro.segment import (
     Manifest,
     ManifestFormatError,
     SegmentRecord,
+    ShardedSegmentedIndex,
     TieredConfig,
     TieredSegmentedIndex,
     manifest_fingerprint,
@@ -29,6 +33,7 @@ from repro.segment.format import (
     CRASH_MERGE_WRITTEN,
     CRASH_SEAL_START,
     CRASH_SEAL_WRITTEN,
+    CRASH_TMP_WRITTEN,
 )
 from repro.segment.tiered import MANIFEST_NAME
 
@@ -166,6 +171,67 @@ class TestLifecycle:
             assert not index.contains(duplicate)
             assert not index.delete(duplicate)
 
+    def test_delete_absent_ad_is_false(self, tmp_path):
+        base = [ad("w0 common", listing_id=3), ad("w1 common", listing_id=4)]
+        oracle = WordSetIndex()
+        for a in base:
+            oracle.insert(a)
+        with TieredSegmentedIndex.pack_corpus(base, tmp_path) as index:
+            assert not index.delete(ad("never indexed", listing_id=99))
+            # Indexed word set, wrong listing id.
+            assert not index.delete(ad("w0 common", listing_id=99))
+            assert index.tombstone_count() == 0
+            assert_matches(index, oracle)
+
+    def test_duplicate_sealed_ads_delete_one_at_a_time(self, tmp_path):
+        # One word set under two listings, sealed into the same segment.
+        first = ad("w0 common", listing_id=3)
+        second = ad("w0 common", listing_id=4)
+        base = [first, second, ad("w1 w2 common", listing_id=5)]
+        oracle = WordSetIndex()
+        for a in base:
+            oracle.insert(a)
+        with TieredSegmentedIndex.pack_corpus(base, tmp_path) as index:
+            assert index.delete(first) and oracle.delete(first)
+            assert not index.contains(first)
+            assert index.contains(second)
+            assert_matches(index, oracle)
+            assert index.delete(second) and oracle.delete(second)
+            assert not index.delete(first)
+            assert index.tombstone_count() == 2
+            assert_matches(index, oracle)
+
+    def test_explicit_placement_survives_seal_merge_and_compact(
+        self, tmp_path
+    ):
+        # With max_words=3 a five-word ad can only live at an explicit
+        # optimizer locator; losing the placement would make the rebuild
+        # reject it, and probes would never reach it.
+        config = TieredConfig(seal_threshold=100, fan_in=2, max_words=3)
+        moved = ad("cheap used books extra terms", listing_id=30)
+        locator = frozenset({"cheap", "used", "books"})
+        query = Query.from_text("cheap used books extra terms today")
+
+        def assert_placed(index):
+            assert 30 in ids(index.query(query))
+            assert index.segments[-1].placements()[moved.words] == locator
+
+        with TieredSegmentedIndex(tmp_path, config=config) as index:
+            index.insert(ad("cheap used books", listing_id=1))
+            index.insert(moved, locator)
+            assert 30 in ids(index.query(query))
+            index.seal()
+            assert_placed(index)
+            index.insert(ad("rare maps", listing_id=5))
+            index.seal()
+            assert index.maybe_merge() == 1
+            assert [r.level for r in index.manifest.segments] == [1]
+            assert_placed(index)
+            index.insert(ad("old atlas", listing_id=6))
+            index.compact()
+            assert len(index.manifest.segments) == 1
+            assert_placed(index)
+
     def test_reinsert_resurrects_tombstoned_sealed_ad(self, tmp_path):
         index = TieredSegmentedIndex(
             tmp_path, config=TieredConfig(seal_threshold=2, fan_in=100)
@@ -261,9 +327,16 @@ class TestLifecycle:
         oracle = WordSetIndex()
         with index:
             fill(index, oracle, 31)
+            for i in range(0, 30, 6):
+                victim = ad(f"w{i % 5} common item{i}", listing_id=i)
+                assert index.delete(victim) and oracle.delete(victim)
+            assert index.tombstone_count() > 0
+            assert len(index.overlay) > 0
             index.compact()
             assert len(index.manifest.segments) == 1
             assert index.read_amplification() == 2
+            assert index.tombstone_count() == 0
+            assert len(index.overlay) == 0
             assert_matches(index, oracle)
 
     def test_stats_shape(self, tmp_path):
@@ -290,6 +363,10 @@ class TestLifecycle:
             assert obs.value("tiered.segments") == len(
                 index.manifest.segments
             )
+            index.insert(ad("fresh common", listing_id=100))
+            assert index.delete(ad("w0 common item0", listing_id=0))
+            assert obs.value("tiered.overlay_ads") == len(index.overlay)
+            assert obs.value("tiered.tombstones") == 1
 
 
 class TestCrashRecovery:
@@ -365,6 +442,39 @@ class TestCrashRecovery:
             on_disk = {p.name for p in tmp_path.iterdir()}
             assert on_disk == referenced | {MANIFEST_NAME}
 
+    def test_torn_seal_temp_reopens_committed_generation(self, tmp_path):
+        # Crash mid segment write during a seal AND physically tear the
+        # orphaned temp: the live process keeps serving, a restart opens
+        # the committed generation (sweeping the torn temp), and a retry
+        # commits.
+        injector = FaultInjector()
+        config = TieredConfig(seal_threshold=100)
+        index = TieredSegmentedIndex(tmp_path, config=config, faults=injector)
+        index.insert(ad("committed common", listing_id=1))
+        index.seal()
+        generation = index.generation
+        committed = committed_view(tmp_path)
+        pending = ad("pending common", listing_id=2)
+        index.insert(pending)
+        with injector.arm(CRASH_TMP_WRITTEN):
+            with pytest.raises(InjectedCrash):
+                index.seal()
+        orphans = list(tmp_path.glob("*.tmp"))
+        assert orphans, "crash before rename should leave the temp file"
+        for orphan in orphans:
+            tear_tail(orphan, keep_fraction=0.5)
+        assert ids(index.live_ads()) == [1, 2]  # live process fine
+        index.close()  # simulate process death
+
+        with TieredSegmentedIndex(tmp_path, config=config) as reopened:
+            assert reopened.generation == generation
+            assert Counter(reopened.live_ads()) == committed
+            assert not list(tmp_path.glob("*.tmp"))
+            reopened.insert(pending)
+            assert reopened.seal() is not None
+            assert reopened.generation == generation + 1
+        assert ids(committed_view(tmp_path)) == [1, 2]
+
     def test_crashed_seal_retries_cleanly_in_process(self, tmp_path):
         injector = FaultInjector()
         config = TieredConfig(seal_threshold=100)
@@ -401,14 +511,36 @@ class TestContinuousChurn:
         assert result.injected_crashes > 0
 
     def test_background_merger_bounds_read_amplification(self, tmp_path):
+        obs = MetricsRegistry()
         config = TieredConfig(seal_threshold=16, fan_in=4)
-        index = TieredSegmentedIndex(tmp_path, config=config)
+        index = TieredSegmentedIndex(tmp_path, config=config, obs=obs)
         merger = BackgroundMerger(index, interval_s=0.001)
-        with index, merger:
-            for i in range(600):
-                index.insert(ad(f"w{i % 9} common i{i}", listing_id=i))
-        merger.drain()
-        assert index.read_amplification() <= index.read_amp_bound()
+
+        def assert_merges_counted():
+            # Each committed merge folds fan_in segments into one.
+            seals = obs.value("tiered.seals")
+            merges = obs.value("tiered.merges")
+            assert len(index.manifest.segments) == (
+                seals - (config.fan_in - 1) * merges
+            )
+
+        with index:
+            with merger:
+                for i in range(600):
+                    index.insert(ad(f"w{i % 9} common i{i}", listing_id=i))
+                deadline = time.monotonic() + 30.0
+                while (
+                    not obs.value("tiered.merges")
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.005)
+            # A merger owns merging, so inline auto-merge is off: every
+            # merge so far was committed on the merger thread.
+            assert obs.value("tiered.merges") >= 1
+            assert_merges_counted()
+            merger.drain()
+            assert_merges_counted()
+            assert index.read_amplification() <= index.read_amp_bound()
 
 
 class TestWorkloadDrivenMerges:
@@ -489,6 +621,34 @@ class TestServingIntegration:
         finally:
             for shard in sharded.shards:
                 shard.close()
+
+    def test_pack_corpus_tiered_matches_sharded_wordset_index(
+        self, tmp_path
+    ):
+        generated = generate_corpus(CorpusConfig(num_ads=600, seed=2))
+        oracle = ShardedWordSetIndex.from_corpus(
+            generated.corpus, num_shards=4
+        )
+        with pack_corpus_tiered(
+            generated.corpus, tmp_path, num_shards=4
+        ) as packed:
+            assert len(packed.shards) == 4
+            assert len(packed) == len(generated.corpus)
+            for shard, oracle_shard in zip(packed.shards, oracle.shards):
+                assert len(shard) == len(oracle_shard)
+            for i, a in enumerate(generated.corpus):
+                assert packed.shard_of(a.words) == oracle.shard_of(a.words)
+                if i % 29 == 0:
+                    query = Query(a.phrase + ("and", "more"))
+                    assert ids(packed.query(query)) == ids(
+                        oracle.query(query)
+                    )
+
+    def test_empty_shard_list_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            ShardedSegmentedIndex([])
+        with pytest.raises(ValueError):
+            pack_corpus_tiered([], tmp_path, num_shards=0)
 
     def test_worker_reloads_on_manifest_swap(self, tmp_path):
         from repro.netserve.worker import WorkerConfig, _Worker
