@@ -20,6 +20,7 @@ from repro.compress.rrr import RRRBitVector
 from repro.compress.deltas import (
     delta_decode_prices,
     delta_encode_prices,
+    put_varint,
     varint_decode,
     varint_encode,
     zigzag_decode,
@@ -67,6 +68,7 @@ __all__ = [
     "hash_table_bits",
     "merged_node_count",
     "plain_size_bytes",
+    "put_varint",
     "varint_decode",
     "varint_encode",
     "worked_example",

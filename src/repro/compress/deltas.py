@@ -20,19 +20,25 @@ def zigzag_decode(value: int) -> int:
     return (value >> 1) if value % 2 == 0 else -((value + 1) >> 1)
 
 
-def varint_encode(value: int) -> bytes:
-    """LEB128 encoding of a non-negative integer."""
+def put_varint(out: bytearray, value: int) -> None:
+    """Append the LEB128 encoding of a non-negative integer to ``out``.
+
+    The one varint writer: every encoder appends through it into a buffer
+    it owns, so no per-value ``bytes`` object is built.
+    """
     if value < 0:
         raise ValueError("varint requires a non-negative value")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(value)
+
+
+def varint_encode(value: int) -> bytes:
+    """LEB128 encoding of a non-negative integer."""
+    out = bytearray()
+    put_varint(out, value)
+    return bytes(out)
 
 
 def varint_decode(data: bytes, offset: int = 0) -> tuple[int, int]:
@@ -52,11 +58,11 @@ def varint_decode(data: bytes, offset: int = 0) -> tuple[int, int]:
 
 def delta_encode_prices(prices: Sequence[int]) -> bytes:
     """Encode a price sequence as varint(first) + zigzag-varint deltas."""
-    if not prices:
-        return b""
-    out = bytearray(varint_encode(zigzag_encode(prices[0])))
-    for prev, cur in zip(prices, prices[1:]):
-        out += varint_encode(zigzag_encode(cur - prev))
+    out = bytearray()
+    prev = 0
+    for price in prices:
+        put_varint(out, zigzag_encode(price - prev))
+        prev = price
     return bytes(out)
 
 

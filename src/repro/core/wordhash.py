@@ -9,6 +9,14 @@ XOR; XOR is commutative/associative, so the combination is order-free, and
 because individual word hashes are well mixed, collisions between distinct
 small sets are rare (and tolerated: data nodes store full phrases and every
 probe verifies them, as the paper requires).
+
+A word's mixed hash is its XOR *contribution* to every set containing it.
+:func:`word_contrib` memoizes it, so building an index (which hashes the
+same few thousand words tens of thousands of times) and enumerating probe
+subsets both pay for each word's bytes once.  The memo holds at most
+:data:`MEMO_MAX_WORDS` words; past that, words are hashed without being
+cached, so a vocabulary that keeps growing under ingest cannot grow the
+memo with it.
 """
 
 from __future__ import annotations
@@ -46,19 +54,45 @@ def _mix(value: int) -> int:
     return value ^ (value >> 31)
 
 
+#: Most words the contribution memo holds (a few MiB of dict entries).
+MEMO_MAX_WORDS = 1 << 16
+
+#: word -> mixed 64-bit contribution to any set hash containing it.
+_CONTRIB_CACHE: dict[str, int] = {}
+
+
+def word_contrib(word: str) -> int:
+    """The word's XOR contribution to ``wordhash`` of any containing set."""
+    contrib = _CONTRIB_CACHE.get(word)
+    if contrib is None:
+        contrib = _mix(fnv1a(word))
+        # Threads racing here can add a few words past the cap; harmless,
+        # since every value is a pure function of its word.
+        if len(_CONTRIB_CACHE) < MEMO_MAX_WORDS:
+            _CONTRIB_CACHE[word] = contrib
+    return contrib
+
+
+def clear_contrib_cache() -> int:
+    """Drop all memoized contributions; returns how many were cached."""
+    size = len(_CONTRIB_CACHE)
+    _CONTRIB_CACHE.clear()
+    return size
+
+
 def wordhash(words: Iterable[str]) -> int:
     """Order-independent 64-bit hash of a set of words.
 
     >>> wordhash({"used", "books"}) == wordhash(["books", "used"])
     True
     """
-    combined = 0
-    empty = True
-    for word in set(words):
-        combined ^= _mix(fnv1a(word))
-        empty = False
-    if empty:
+    unique = words if isinstance(words, (set, frozenset)) else set(words)
+    if not unique:
         return _EMPTY_SET_HASH
+    cached = _CONTRIB_CACHE.get
+    combined = 0
+    for word in unique:
+        combined ^= cached(word) or word_contrib(word)
     return combined
 
 

@@ -160,7 +160,9 @@ def generate_corpus(config: CorpusConfig = CorpusConfig()) -> GeneratedCorpus:
             length = min(available_lengths, key=lambda a: abs(a - length))
         group = by_length[length]
         template = group[length_samplers[length].sample() - 1]
-        phrase = tuple(sorted(template, key=lambda _: rng.random()))
+        # Pre-sort so the random keys go to words in a fixed order; a
+        # frozenset's own order depends on PYTHONHASHSEED.
+        phrase = tuple(sorted(sorted(template), key=lambda _: rng.random()))
         exclusions: tuple[str, ...] = ()
         if rng.random() < config.exclusion_fraction:
             exclusions = (vocabulary[word_sampler.sample() - 1],)

@@ -99,7 +99,8 @@ def generate_workload(
         if key in seen:
             continue
         seen.add(key)
-        tokens = tuple(sorted(words, key=lambda _: rng.random()))
+        # Pre-sort: set order depends on PYTHONHASHSEED (see corpus.py).
+        tokens = tuple(sorted(sorted(words), key=lambda _: rng.random()))
         queries.append(Query(tokens=tokens))
 
     frequencies = zipf_frequencies(

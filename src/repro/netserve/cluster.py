@@ -13,10 +13,17 @@ The frontend can run two ways:
 * **in-process** (default) — on a daemon thread with its own event
   loop.  Right for tests: one process to debug, nothing to orphan.
 * **as a process** (``frontend_process=True``) — forked like a worker,
-  publishing its bound port through a file in the runtime directory.
+  sending its bound port back over its readiness pipe.
   Right for benchmarks: the load generator's client loop and the
   frontend's relay loop stop sharing one GIL, so measured scaling is
   the workers', not the harness's.
+
+Every forked process gets the write end of a one-way readiness pipe:
+a worker signals once it is listening, the frontend sends its port.
+:func:`~repro.netserve.supervisor.await_ready` waits on that pipe and
+the process sentinel together, so boot never polls, and a child that
+dies during boot fails it at once.  Workers then pass one ``ping``
+before they count as up — at boot and at every supervised respawn.
 
 ``ServingCluster`` is a context manager; ``stop()`` is idempotent and
 **graceful by design**: stop supervising (so nothing resurrects what is
@@ -47,10 +54,16 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 from typing import Any
 
 from repro.netserve.frontend import Frontend, FrontendConfig
-from repro.netserve.supervisor import SupervisorConfig, WorkerSupervisor
+from repro.netserve.supervisor import (
+    SupervisorConfig,
+    WorkerSupervisor,
+    await_ready,
+    await_worker_ready,
+)
 from repro.netserve.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     recv_frame,
@@ -153,9 +166,9 @@ def _mp_context() -> multiprocessing.context.BaseContext:
 
 
 def _run_frontend_process(
-    config: ClusterConfig, worker_sockets: list[str], port_path: str
+    config: ClusterConfig, worker_sockets: list[str], ready: Connection
 ) -> None:
-    """Child entry: run the frontend forever, publishing its port.
+    """Child entry: run the frontend forever, sending its port on ``ready``.
 
     SIGTERM (the cluster's graceful-stop signal) closes the listener
     and every connection through :meth:`Frontend.stop` — stop admitting
@@ -167,10 +180,8 @@ def _run_frontend_process(
     async def main() -> None:
         frontend = Frontend(worker_sockets, config.frontend_config())
         await frontend.start()
-        tmp = port_path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(str(frontend.port))
-        os.replace(tmp, port_path)
+        ready.send(frontend.port)
+        ready.close()
         loop = asyncio.get_running_loop()
         stopped = asyncio.Event()
         with contextlib.suppress(NotImplementedError, ValueError):
@@ -238,6 +249,7 @@ class ServingCluster:
         ctx = _mp_context()
         self._ctx = ctx
         deadline = time.monotonic() + config.boot_timeout_s
+        readies: list[Connection] = []
         try:
             for worker_id in range(config.num_workers):
                 path = os.path.join(self._runtime_dir, f"w{worker_id}.sock")
@@ -248,9 +260,20 @@ class ServingCluster:
                 with contextlib.suppress(OSError):
                     os.unlink(path)
                 self.worker_sockets.append(path)
-                self.processes.append(self._spawn_worker(worker_id))
-            for worker_id, path in enumerate(self.worker_sockets):
-                self._await_worker(worker_id, path, deadline)
+                proc, ready = self._spawn_worker(worker_id)
+                self.processes.append(proc)
+                readies.append(ready)
+            for worker_id, (path, proc, ready) in enumerate(
+                zip(self.worker_sockets, self.processes, readies)
+            ):
+                await_worker_ready(
+                    proc,
+                    ready,
+                    worker_id,
+                    path,
+                    deadline,
+                    config.max_frame_bytes,
+                )
             if config.frontend_process:
                 self._start_frontend_process(ctx, deadline)
             else:
@@ -261,57 +284,36 @@ class ServingCluster:
         except BaseException:
             # A mid-boot failure must not leak already-forked workers
             # or their socket files: stop() reaps both.
+            for ready in readies:
+                ready.close()
             self.stop()
             raise
 
     def _spawn_worker(
         self, worker_id: int
-    ) -> multiprocessing.process.BaseProcess:
-        """Fork one worker (boot and every supervised respawn)."""
+    ) -> tuple[multiprocessing.process.BaseProcess, Connection]:
+        """Fork one worker (boot and every supervised respawn); returns
+        it with the read end of its readiness pipe."""
         assert self._ctx is not None
+        ready, signal_end = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=run_worker,
             args=(
                 self.config.worker_config(
                     worker_id, self.worker_sockets[worker_id]
                 ),
+                signal_end,
             ),
             name=f"netserve-worker-{worker_id}",
             daemon=True,
         )
         proc.start()
+        # Only the child may hold the write end: its exit must read as
+        # EOF here, and later forks must not inherit it.
+        signal_end.close()
         if worker_id < len(self.processes):
             self.processes[worker_id] = proc
-        return proc
-
-    def _await_worker(
-        self,
-        worker_id: int,
-        path: str,
-        deadline: float,
-    ) -> None:
-        proc = self.processes[worker_id]
-        while True:
-            try:
-                with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
-                    s.settimeout(2.0)
-                    s.connect(path)
-                    send_frame(s, {"type": "ping"})
-                    reply = recv_frame(s)
-                if reply is not None and reply.get("type") == "pong":
-                    return
-            except OSError:
-                pass
-            if not proc.is_alive():
-                # Dead before its ping gate: a clear boot error now,
-                # not a TimeoutError after the whole boot deadline.
-                raise RuntimeError(
-                    f"worker {worker_id} died during boot "
-                    f"(exitcode {proc.exitcode}) before answering ping"
-                )
-            if time.monotonic() > deadline:
-                raise TimeoutError(f"worker socket {path} never became ready")
-            time.sleep(0.05)
+        return proc, ready
 
     def _start_frontend_thread(self) -> None:
         import asyncio
@@ -424,26 +426,17 @@ class ServingCluster:
     def _start_frontend_process(
         self, ctx: multiprocessing.context.BaseContext, deadline: float
     ) -> None:
-        assert self._runtime_dir is not None
-        port_path = os.path.join(self._runtime_dir, "frontend.port")
+        ready, signal_end = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_run_frontend_process,
-            args=(self.config, self.worker_sockets, port_path),
+            args=(self.config, self.worker_sockets, signal_end),
             name="netserve-frontend",
             daemon=True,
         )
         proc.start()
+        signal_end.close()
         self._frontend_proc = proc
-        while True:
-            if os.path.exists(port_path):
-                with open(port_path, encoding="ascii") as fh:
-                    self.port = int(fh.read().strip())
-                return
-            if not proc.is_alive():
-                raise RuntimeError("frontend process died during boot")
-            if time.monotonic() > deadline:
-                raise TimeoutError("frontend never published its port")
-            time.sleep(0.05)
+        self.port = await_ready(proc, ready, "frontend process", deadline)
 
     # ---------------------------------------------------------- #
 

@@ -57,8 +57,9 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
-from time import monotonic, sleep
+from time import monotonic
 from typing import Any, Callable
 
 from repro.netserve.wire import (
@@ -74,7 +75,76 @@ __all__ = [
     "SupervisorConfig",
     "WorkerStatus",
     "WorkerSupervisor",
+    "await_ready",
+    "await_worker_ready",
 ]
+
+
+def await_ready(
+    proc: BaseProcess, ready: Connection, name: str, deadline: float
+) -> Any:
+    """Block until a freshly started ``proc`` signals ready; its message.
+
+    The child holds the write end of a one-way pipe and sends one message
+    once it can take connections: a worker after ``listen()``, the
+    frontend its bound port.  ``wait`` wakes on that message or on
+    ``proc.sentinel`` (the process exited), so a child that dies during
+    boot fails here at once instead of at the deadline.  ``ready`` is
+    closed on return.
+    """
+    try:
+        remaining = deadline - monotonic()
+        fired = wait([ready, proc.sentinel], timeout=max(remaining, 0.0))
+        if ready in fired:
+            try:
+                return ready.recv()
+            except EOFError:
+                pass  # the child exited, closing its end unsent
+        if not fired:
+            raise TimeoutError(f"{name} never signalled ready")
+        proc.join(timeout=1.0)
+        raise RuntimeError(
+            f"{name} died during boot (exitcode {proc.exitcode}) "
+            "before signalling ready"
+        )
+    finally:
+        ready.close()
+
+
+def ping(path: str, timeout_s: float, max_frame_bytes: int) -> bool:
+    """One ``ping`` round trip to a worker socket within ``timeout_s``."""
+    try:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+            probe.settimeout(timeout_s)
+            probe.connect(path)
+            send_frame(probe, {"type": "ping"}, max_frame_bytes)
+            reply = recv_frame(probe, max_frame_bytes)
+        return reply is not None and reply.get("type") == "pong"
+    except (OSError, WireError):
+        return False
+
+
+def await_worker_ready(
+    proc: BaseProcess,
+    ready: Connection,
+    worker_id: int,
+    socket_path: str,
+    deadline: float,
+    max_frame_bytes: int,
+) -> None:
+    """The worker ready gate, at boot and at every respawn: the readiness
+    signal, then one ``ping`` answered before ``deadline``."""
+    name = f"worker {worker_id}"
+    await_ready(proc, ready, name, deadline)
+    remaining = deadline - monotonic()
+    if remaining > 0 and ping(socket_path, remaining, max_frame_bytes):
+        return
+    if not proc.is_alive():
+        raise RuntimeError(
+            f"{name} died during boot (exitcode {proc.exitcode}) "
+            "before answering ping"
+        )
+    raise TimeoutError(f"worker socket {socket_path} never answered ping")
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +172,9 @@ class SupervisorConfig:
         or bad config a respawn cannot fix — and is marked permanently
         FAILED instead of respawned forever.
     ready_timeout_s:
-        How long a respawned worker gets to answer its first ping
-        before the respawn itself is counted as another failure.
+        How long a respawned worker gets to signal ready and answer its
+        first ping before the respawn itself is counted as another
+        failure.
     verify_mapping / mapping_private_fraction:
         After each respawn, probe the worker's ``stats`` frame and
         check its segment-mapping report: private bytes must stay under
@@ -249,15 +320,17 @@ class _Supervised:
 class WorkerSupervisor:
     """The supervision loop (see module docstring).
 
-    ``spawn(worker_id) -> BaseProcess`` is supplied by the cluster: it
-    forks a fresh worker for that id (same :class:`WorkerConfig`, same
-    segment) and keeps the cluster's own process table in sync.  The
-    supervisor owns *when* to call it, never *how* a worker is built.
+    ``spawn(worker_id) -> (BaseProcess, Connection)`` is supplied by the
+    cluster: it forks a fresh worker for that id (same
+    :class:`WorkerConfig`, same segment), keeps the cluster's own process
+    table in sync, and returns the read end of the worker's readiness
+    pipe.  The supervisor owns *when* to call it, never *how* a worker
+    is built.
     """
 
     def __init__(
         self,
-        spawn: Callable[[int], BaseProcess],
+        spawn: Callable[[int], tuple[BaseProcess, Connection]],
         config: SupervisorConfig | None = None,
         obs: MetricsRegistry | None = None,
         on_worker_ready: Callable[[int], None] | None = None,
@@ -355,7 +428,11 @@ class WorkerSupervisor:
                     self.obs.counter("supervisor.deaths_detected").inc()
                     self._note_failure(entry, "exit")
                     continue
-                if self._ping(entry.socket_path, self.config.ping_timeout_s):
+                if ping(
+                    entry.socket_path,
+                    self.config.ping_timeout_s,
+                    self._max_frame_bytes,
+                ):
                     entry.ping_misses = 0
                     continue
                 entry.ping_misses += 1
@@ -375,17 +452,6 @@ class WorkerSupervisor:
                     )
                 )
             )
-
-    def _ping(self, path: str, timeout_s: float) -> bool:
-        try:
-            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
-                probe.settimeout(timeout_s)
-                probe.connect(path)
-                send_frame(probe, {"type": "ping"}, self._max_frame_bytes)
-                reply = recv_frame(probe, self._max_frame_bytes)
-            return reply is not None and reply.get("type") == "pong"
-        except (OSError, WireError):
-            return False
 
     def _kill(self, entry: _Supervised) -> None:
         proc = entry.proc
@@ -415,13 +481,13 @@ class WorkerSupervisor:
         with contextlib.suppress(OSError):
             os.unlink(entry.socket_path)
         try:
-            proc = self._spawn(entry.worker_id)
+            proc, ready = self._spawn(entry.worker_id)
         except OSError:
             self.obs.counter("supervisor.respawn_failures").inc()
             self._note_failure(entry, "spawn")
             return
         entry.proc = proc
-        if not self._await_ready(entry):
+        if not self._await_ready(entry, proc, ready):
             self.obs.counter("supervisor.respawn_failures").inc()
             self._kill(entry)
             self._note_failure(entry, "boot")
@@ -433,20 +499,22 @@ class WorkerSupervisor:
         self._verify_mapping(entry)
         self._notify(self._on_worker_ready, entry.worker_id)
 
-    def _await_ready(self, entry: _Supervised) -> bool:
-        deadline = monotonic() + self.config.ready_timeout_s
-        while monotonic() < deadline and not self._stop.is_set():
-            proc = entry.proc
-            if proc is None or not proc.is_alive():
-                # Died before ever answering: no point waiting out the
-                # whole ready window against a corpse.
-                if proc is not None:
-                    entry.last_exitcode = proc.exitcode
-                return False
-            if self._ping(entry.socket_path, self.config.ping_timeout_s):
-                return True
-            sleep(0.05)
-        return False
+    def _await_ready(
+        self, entry: _Supervised, proc: BaseProcess, ready: Connection
+    ) -> bool:
+        try:
+            await_worker_ready(
+                proc,
+                ready,
+                entry.worker_id,
+                entry.socket_path,
+                monotonic() + self.config.ready_timeout_s,
+                self._max_frame_bytes,
+            )
+        except (RuntimeError, TimeoutError):
+            entry.last_exitcode = proc.exitcode
+            return False
+        return True
 
     def _verify_mapping(self, entry: _Supervised) -> None:
         """Re-assert the zero-copy claim on the respawned worker."""
@@ -528,8 +596,9 @@ class WorkerSupervisor:
                     proc.join(timeout=5.0)
             with contextlib.suppress(OSError):
                 os.unlink(entry.socket_path)
-            entry.proc = self._spawn(worker_id)
-            if not self._await_ready(entry):
+            proc, ready = self._spawn(worker_id)
+            entry.proc = proc
+            if not self._await_ready(entry, proc, ready):
                 self._kill(entry)
                 self._note_failure(entry, "boot")
                 raise RuntimeError(

@@ -58,6 +58,7 @@ import signal
 import socket
 import threading
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from time import monotonic, perf_counter
 from typing import Any
 
@@ -607,7 +608,9 @@ class _Worker:
         self._drain_shutdown()
         self.index.close()
 
-    def run(self) -> None:
+    def run(self, ready: Connection | None = None) -> None:
+        """Serve until stopped; once listening, send the socket path on
+        ``ready`` (the cluster's readiness pipe) and close it."""
         path = self.config.socket_path
         with contextlib.suppress(OSError):
             os.unlink(path)
@@ -616,6 +619,9 @@ class _Worker:
             listener.bind(path)
             listener.listen(16)
             listener.settimeout(0.2)
+            if ready is not None:
+                ready.send(path)
+                ready.close()
             while not self._stop.is_set():
                 try:
                     conn, _ = listener.accept()
@@ -637,8 +643,12 @@ class _Worker:
             self.close()
 
 
-def run_worker(config: WorkerConfig) -> None:
-    """Process entry point: serve until ``shutdown`` or ``SIGTERM``."""
+def run_worker(config: WorkerConfig, ready: Connection | None = None) -> None:
+    """Process entry point: serve until ``shutdown`` or ``SIGTERM``.
+
+    ``ready`` is the write end of a readiness pipe; the worker signals on
+    it once its socket is listening.
+    """
     worker = _Worker(config)
 
     def _terminate(signum: int, frame: object) -> None:
@@ -647,4 +657,4 @@ def run_worker(config: WorkerConfig) -> None:
     with contextlib.suppress(ValueError):  # non-main thread (tests)
         signal.signal(signal.SIGTERM, _terminate)
         signal.signal(signal.SIGINT, _terminate)
-    worker.run()
+    worker.run(ready)

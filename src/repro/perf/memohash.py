@@ -9,9 +9,10 @@ touching each word ``2^(|Q|-1)`` times under naive re-hashing).
 
 Two layers of reuse:
 
-* :func:`word_contrib` memoizes the mixed 64-bit hash per word across
-  queries (the cache is bounded by the corpus vocabulary because the
-  prefilter only ever asks for indexed words);
+* :func:`~repro.core.wordhash.word_contrib` memoizes the mixed 64-bit
+  hash per word across queries.  It is the one memo ``wordhash`` itself
+  uses, re-exported here; it lives in :mod:`repro.core.wordhash` and is
+  capped at :data:`~repro.core.wordhash.MEMO_MAX_WORDS` words;
 * :func:`hashed_index_subsets` enumerates subset hashes *incrementally*:
   consecutive combinations in lexicographic order share a prefix, and the
   enumerator maintains prefix XOR accumulators, so advancing to the next
@@ -27,26 +28,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from repro.core.wordhash import fnv1a, _mix
+from repro.core.wordhash import clear_contrib_cache, word_contrib
 
-#: word -> mixed 64-bit contribution to any set hash containing it.
-_CONTRIB_CACHE: dict[str, int] = {}
-
-
-def word_contrib(word: str) -> int:
-    """The word's XOR contribution to ``wordhash`` of any containing set."""
-    contrib = _CONTRIB_CACHE.get(word)
-    if contrib is None:
-        contrib = _mix(fnv1a(word))
-        _CONTRIB_CACHE[word] = contrib
-    return contrib
-
-
-def clear_contrib_cache() -> int:
-    """Drop all memoized contributions; returns how many were cached."""
-    size = len(_CONTRIB_CACHE)
-    _CONTRIB_CACHE.clear()
-    return size
+__all__ = [
+    "clear_contrib_cache",
+    "hashed_index_subsets",
+    "hashed_subsets",
+    "word_contrib",
+]
 
 
 def hashed_index_subsets(

@@ -9,7 +9,10 @@ as one contiguous artifact a serving process can mmap:
   depends on while grouping similar phrases for prefix sharing;
 * phrases are front-coded and bid prices delta-coded per node (reusing
   :mod:`repro.compress.frontcoding` / :mod:`repro.compress.deltas` — the
-  Section VI codings, now on the serving path);
+  Section VI codings, now on the serving path).  Each node record is
+  written into one ``bytearray`` through the single varint writer,
+  :func:`~repro.compress.deltas.put_varint`, so no ``bytes`` object is
+  built per field;
 * ``B^sig`` (suffix occupancy) and ``B^off`` (node start offsets) address
   the nodes via rank/select, serialized as little-endian u64 words;
 * the header persists the probe-prefilter state (locator vocabulary
@@ -32,7 +35,7 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
-from repro.compress.deltas import delta_encode_prices, varint_encode, zigzag_encode
+from repro.compress.deltas import delta_encode_prices, put_varint, zigzag_encode
 from repro.compress.frontcoding import front_encode
 from repro.core.data_node import NodeEntry
 from repro.core.wordhash import hash_suffix
@@ -63,9 +66,10 @@ def default_suffix_bits(num_nodes: int) -> int:
     return min(26, max(12, max(num_nodes, 1).bit_length() + 6))
 
 
-def _encode_str(text: str) -> bytes:
+def _put_str(out: bytearray, text: str) -> None:
     blob = text.encode("utf-8")
-    return varint_encode(len(blob)) + blob
+    put_varint(out, len(blob))
+    out += blob
 
 
 def encode_node(entries: Sequence[NodeEntry]) -> bytes:
@@ -87,22 +91,23 @@ def encode_node(entries: Sequence[NodeEntry]) -> bytes:
     decodes prices (or anything else) past the cut.
     """
     prices = delta_encode_prices([e.ad.info.bid_price_micros for e in entries])
-    out = bytearray(varint_encode(len(entries)))
-    out += varint_encode(len(prices))
+    out = bytearray()
+    put_varint(out, len(entries))
+    put_varint(out, len(prices))
     out += prices
     coded = front_encode([e.ad.phrase for e in entries])
     for entry, phrase in zip(entries, coded):
         info = entry.ad.info
-        out += varint_encode(entry.word_count)
-        out += varint_encode(phrase.shared_tokens)
-        out += varint_encode(len(phrase.suffix))
+        put_varint(out, entry.word_count)
+        put_varint(out, phrase.shared_tokens)
+        put_varint(out, len(phrase.suffix))
         for token in phrase.suffix:
-            out += _encode_str(token)
-        out += varint_encode(zigzag_encode(info.listing_id))
-        out += varint_encode(zigzag_encode(info.campaign_id))
-        out += varint_encode(len(info.exclusion_phrases))
+            _put_str(out, token)
+        put_varint(out, zigzag_encode(info.listing_id))
+        put_varint(out, zigzag_encode(info.campaign_id))
+        put_varint(out, len(info.exclusion_phrases))
         for exclusion in info.exclusion_phrases:
-            out += _encode_str(exclusion)
+            _put_str(out, exclusion)
     return bytes(out)
 
 

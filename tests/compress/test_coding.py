@@ -8,6 +8,7 @@ from repro.compress.deltas import (
     delta_decode_prices,
     delta_encode_prices,
     encoded_size,
+    put_varint,
     varint_decode,
     varint_encode,
     zigzag_decode,
@@ -63,6 +64,42 @@ class TestVarint:
         decoded, offset = varint_decode(data)
         assert decoded == value
         assert offset == len(data)
+
+    @given(
+        st.lists(st.integers(0, 1 << 70), max_size=20),
+        st.binary(max_size=8),
+    )
+    def test_put_varint_appends_the_reference_encoding(self, values, prefix):
+        out = bytearray(prefix)
+        for value in values:
+            put_varint(out, value)
+        expected = prefix + b"".join(_reference_leb128(v) for v in values)
+        assert bytes(out) == expected
+        assert b"".join(varint_encode(v) for v in values) == expected[len(prefix):]
+        offset = len(prefix)
+        for value in values:
+            decoded, offset = varint_decode(bytes(out), offset)
+            assert decoded == value
+        assert offset == len(out)
+
+    def test_put_varint_rejects_negative_without_writing(self):
+        out = bytearray(b"x")
+        with pytest.raises(ValueError):
+            put_varint(out, -1)
+        assert out == b"x"
+
+
+def _reference_leb128(value):
+    """Byte-at-a-time LEB128, the writer's reference."""
+    out = []
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
 
 
 class TestDeltaPrices:

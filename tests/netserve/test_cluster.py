@@ -214,3 +214,23 @@ class TestLifecycle:
                 host, port = cluster.address
                 with ServeClient(host, port) as client:
                     assert client.ping()
+
+    def test_restart_on_one_runtime_dir_returns_the_live_port(
+        self, segment_path, tmp_path
+    ):
+        """A process frontend's port comes from the new process, never
+        from state an earlier cluster left in a shared runtime dir."""
+        runtime = tmp_path / "rt"
+        config = ClusterConfig(
+            segment_path=str(segment_path),
+            num_workers=1,
+            runtime_dir=str(runtime),
+            frontend_process=True,
+            supervise=False,
+        )
+        for _ in range(2):
+            with ServingCluster(config) as cluster:
+                host, port = cluster.address
+                with ServeClient(host, port) as client:
+                    assert client.ping()
+        assert list(runtime.iterdir()) == []
